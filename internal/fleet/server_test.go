@@ -7,7 +7,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/gateway"
 	"repro/internal/serve"
 )
 
@@ -114,5 +116,44 @@ func TestFleetHTTPEndToEnd(t *testing.T) {
 	getResp.Body.Close()
 	if getResp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /parse status = %d, want 405", getResp.StatusCode)
+	}
+}
+
+// unusedParser is a decode surface the oversized-body test never reaches.
+type unusedParser struct{}
+
+func (unusedParser) Parse([]string) []string          { return nil }
+func (unusedParser) ParseBeam([]string, int) []string { return nil }
+
+// TestParseRejectsOversizedBody sends a /parse body one byte over
+// serve.MaxRequestBytes to each server tier — single-parser, fleet and
+// gateway — and checks each refuses it with 413 instead of buffering it.
+func TestParseRejectsOversizedBody(t *testing.T) {
+	reg, err := New(Config{LibDir: t.TempDir(), Train: countingTrain(&sync.Map{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleetSrv := NewServer(reg)
+	defer fleetSrv.Close()
+	single := serve.NewServer(unusedParser{}, serve.Options{})
+	defer single.Close()
+	gw := gateway.New(nil, gateway.Options{ProbeInterval: time.Hour})
+	defer gw.Close()
+
+	prefix, suffix := `{"sentence":"`, `"}`
+	body := prefix + strings.Repeat("a", serve.MaxRequestBytes+1-len(prefix)-len(suffix)) + suffix
+	for _, tc := range []struct {
+		name string
+		h    http.Handler
+	}{
+		{"serve", single.Handler()},
+		{"fleet", fleetSrv.Handler()},
+		{"gateway", gw.Handler()},
+	} {
+		rec := httptest.NewRecorder()
+		tc.h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/parse", strings.NewReader(body)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversized /parse status = %d, want 413 (%s)", tc.name, rec.Code, strings.TrimSpace(rec.Body.String()))
+		}
 	}
 }

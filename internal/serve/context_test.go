@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // ctxFakeParser is a contextual decode surface with fully observable
@@ -15,6 +14,7 @@ import (
 // batched contextual calls panic on any row with an empty context, so a
 // mis-partitioned window fails loudly.
 type ctxFakeParser struct {
+	gate          *gate        // when set, every decode waits for it to open
 	batchCalls    atomic.Int64 // ParseBatch windows
 	ctxBatchCalls atomic.Int64 // ParseBatchContext windows
 	ctxCalls      atomic.Int64 // per-request contextual decodes
@@ -26,9 +26,13 @@ func ctxOut(words, ctx []string) []string {
 	return append([]string{"ctx", ctx[0]}, words...)
 }
 
-func (p *ctxFakeParser) Parse(words []string) []string            { return plainOut(words) }
+func (p *ctxFakeParser) Parse(words []string) []string {
+	p.gate.wait()
+	return plainOut(words)
+}
 func (p *ctxFakeParser) ParseBeam(words []string, _ int) []string { return plainOut(words) }
 func (p *ctxFakeParser) ParseBatch(sentences [][]string) [][]string {
+	p.gate.wait()
 	p.batchCalls.Add(1)
 	out := make([][]string, len(sentences))
 	for i, s := range sentences {
@@ -40,6 +44,7 @@ func (p *ctxFakeParser) ParseBeamBatch(sentences [][]string, _ int) [][]string {
 	return p.ParseBatch(sentences)
 }
 func (p *ctxFakeParser) ParseContext(words, ctx []string) []string {
+	p.gate.wait()
 	if len(ctx) == 0 {
 		return plainOut(words)
 	}
@@ -50,6 +55,7 @@ func (p *ctxFakeParser) ParseContextScored(words, ctx []string, _ int) ([]string
 	return p.ParseContext(words, ctx), 0.5
 }
 func (p *ctxFakeParser) ParseBatchContext(sentences, contexts [][]string) [][]string {
+	p.gate.wait()
 	p.ctxBatchCalls.Add(1)
 	out := make([][]string, len(sentences))
 	for i := range sentences {
@@ -66,14 +72,15 @@ func (p *ctxFakeParser) ParseBatchContextScored(sentences, contexts [][]string) 
 }
 func (p *ctxFakeParser) Contextual() bool { return true }
 
-// TestBatcherPartitionsContextWindows gathers mixed single-turn and
-// contextual traffic into shared windows and checks the partition: plain
+// TestBatcherPartitionsContextWindows queues mixed single-turn and
+// contextual traffic behind parked workers, so it leaves in shared windows,
+// and checks the partition: plain
 // rows decode through the plain batched surface, contextual rows through the
 // contextual one (whose model-layer contract panics on empty-context rows),
 // and every request gets the answer its own context implies.
 func TestBatcherPartitionsContextWindows(t *testing.T) {
-	p := &ctxFakeParser{}
-	b := NewBatcher(p, Options{MaxBatch: 8, MaxWait: 20 * time.Millisecond, Workers: 2, MaxQueue: -1})
+	p := &ctxFakeParser{gate: newGate()}
+	b := NewBatcher(p, Options{MaxBatch: 8, Workers: 2, MaxQueue: -1})
 	defer b.Close()
 
 	const n = 64
@@ -96,6 +103,7 @@ func TestBatcherPartitionsContextWindows(t *testing.T) {
 			got[i], errs[i] = b.ParseContextCtx(context.Background(), words, prior)
 		}(i, words, prior)
 	}
+	p.gate.queueBehind(t, b, 2, n)
 	wg.Wait()
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
@@ -123,7 +131,7 @@ func (plainOnlyParser) Parse(words []string) []string            { return plainO
 func (plainOnlyParser) ParseBeam(words []string, _ int) []string { return plainOut(words) }
 
 func TestParseContextCtxWithoutSurface(t *testing.T) {
-	b := NewBatcher(plainOnlyParser{}, Options{MaxBatch: 4, MaxWait: time.Millisecond, Workers: 1, MaxQueue: -1})
+	b := NewBatcher(plainOnlyParser{}, Options{MaxBatch: 4, Workers: 1, MaxQueue: -1})
 	defer b.Close()
 	words := []string{"hello", "world"}
 	plain, err := b.ParseCtx(context.Background(), words)
@@ -146,7 +154,7 @@ func TestParseContextCtxWithoutSurface(t *testing.T) {
 // contextual scored surface.
 func TestParseContextScoredCtx(t *testing.T) {
 	p := &ctxFakeParser{}
-	b := NewBatcher(p, Options{MaxBatch: 4, MaxWait: time.Millisecond, Workers: 1, MaxQueue: -1})
+	b := NewBatcher(p, Options{MaxBatch: 4, Workers: 1, MaxQueue: -1})
 	defer b.Close()
 	toks, score, err := b.ParseContextScoredCtx(context.Background(), []string{"w"}, []string{"prev"})
 	if err != nil {

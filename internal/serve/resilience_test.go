@@ -29,7 +29,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // must not cost a decode.
 func TestBatcherDeadlineExpiresInQueueNoDecode(t *testing.T) {
 	sp := &slowParser{release: make(chan struct{}, 4)}
-	b := NewBatcher(sp, Options{MaxBatch: 1, MaxWait: time.Millisecond, Workers: 1, MaxQueue: 8})
+	b := NewBatcher(sp, Options{MaxBatch: 1, Workers: 1, MaxQueue: 8})
 	defer b.Close()
 
 	// Occupy the worker.
@@ -62,7 +62,7 @@ func TestBatcherDeadlineExpiresInQueueNoDecode(t *testing.T) {
 // wait answers 408 without a decode being spent on it.
 func TestServerDeadlineHeader408(t *testing.T) {
 	sp := &slowParser{release: make(chan struct{}, 4)}
-	srv := NewServer(sp, Options{MaxBatch: 1, MaxWait: time.Millisecond, Workers: 1, MaxQueue: 8})
+	srv := NewServer(sp, Options{MaxBatch: 1, Workers: 1, MaxQueue: 8})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
@@ -126,14 +126,24 @@ func (p *panickyParser) ParseBeamBatch(sentences [][]string, width int) [][]stri
 	return p.ParseBatch(sentences)
 }
 
-// TestBatcherPanicIsolation gathers a window with one poison-pill request:
-// the batched decode panics, the window re-decodes per request, the healthy
-// requests answer normally, only the poisoned one errors with
-// ErrDecodeFailed, and the worker survives to serve the next request.
+// TestBatcherPanicIsolation queues a window with one poison-pill request
+// behind the parked worker: the batched decode panics, the window re-decodes
+// per request, the healthy requests answer normally, only the poisoned one
+// errors with ErrDecodeFailed, and the worker survives to serve the next
+// request.
 func TestBatcherPanicIsolation(t *testing.T) {
 	pp := &panickyParser{}
-	b := NewBatcher(pp, Options{MaxBatch: 4, MaxWait: 25 * time.Millisecond, Workers: 1})
+	g := gatedParser{gate: newGate(), inner: pp}
+	b := NewBatcher(g, Options{MaxBatch: 4, Workers: 1})
 	defer b.Close()
+
+	// Park the worker on a healthy request so the three below queue up.
+	parked := make(chan error, 1)
+	go func() {
+		_, err := b.ParseCtx(context.Background(), []string{"tweet", "echo", "now"})
+		parked <- err
+	}()
+	waitFor(t, "the worker to park", func() bool { return len(g.entered) == 1 })
 
 	words := [][]string{
 		{"tweet", "alpha", "now"},
@@ -149,7 +159,11 @@ func TestBatcherPanicIsolation(t *testing.T) {
 			_, errs[i] = b.ParseCtx(context.Background(), words[i])
 		}(i)
 	}
+	g.queueBehind(t, b, 1, int64(1+len(words)))
 	wg.Wait()
+	if err := <-parked; err != nil {
+		t.Errorf("parked request err = %v, want nil", err)
+	}
 
 	for i, err := range errs {
 		poisoned := words[i][0] == "poison"
@@ -173,7 +187,7 @@ func TestBatcherPanicIsolation(t *testing.T) {
 // TestServerPanicAnswers500 checks the HTTP mapping of a recovered decode
 // panic.
 func TestServerPanicAnswers500(t *testing.T) {
-	srv := NewServer(&panickyParser{}, Options{MaxBatch: 1, MaxWait: time.Millisecond})
+	srv := NewServer(&panickyParser{}, Options{MaxBatch: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()

@@ -1,15 +1,16 @@
 // Package serve is the parser-serving layer: it turns a trained
 // model.Parser — a pure function after training — into a long-lived service.
-// It provides request micro-batching over a decode worker pool (Batcher)
-// with bounded-queue admission control and graceful drain, where a gathered
-// window decodes as one batched forward per decode step
+// It provides work-conserving micro-batching over a decode worker pool
+// (Batcher) with bounded-queue admission control and graceful drain: a free
+// worker takes a request at once, together with whatever else is already
+// queued, and decodes that window as one batched forward per decode step
 // (model.Parser.ParseBatch/ParseBeamBatch: all requests' hypotheses advance
-// in lockstep as rows of B×n tensors), an HTTP JSON front end (Server) with
-// a matching Client, and a trained-snapshot cache keyed by the Thingpedia
-// skill-library checksum (Cache), so re-serving an unchanged library skips
-// training entirely. The multi-skill fleet control plane (internal/fleet)
-// composes one Batcher per skill behind a router and speaks this package's
-// wire types.
+// in lockstep as rows of B×n tensors). It also provides an HTTP JSON front
+// end (Server) with a matching Client, and a trained-snapshot cache keyed by
+// the Thingpedia skill-library checksum (Cache), so re-serving an unchanged
+// library skips training entirely. The multi-skill fleet control plane
+// (internal/fleet) composes one Batcher per skill behind a router and speaks
+// this package's wire types.
 //
 // The layer leans on two properties established in internal/model: decoding
 // is concurrency-safe (all decode state lives in pooled per-call contexts,
@@ -37,11 +38,10 @@ type Parser interface {
 }
 
 // BatchParser is the batched decoding surface; *model.Parser implements it.
-// When the Batcher's parser does, each gathered window decodes as one
-// batched forward per decode step — the window's sentences (or beams)
-// advance in lockstep as rows of stacked tensors — instead of fanning each
-// request to its own worker, so micro-batching buys matmul width on top of
-// queueing.
+// When the Batcher's parser does, each window — the requests that queued
+// while every worker was busy — decodes as one batched forward per decode
+// step: the window's sentences (or beams) advance in lockstep as rows of
+// stacked tensors.
 type BatchParser interface {
 	ParseBatch(sentences [][]string) [][]string
 	ParseBeamBatch(sentences [][]string, width int) [][]string
@@ -93,7 +93,7 @@ type AdaptiveContextParser interface {
 
 // BatchContextParser is the batched contextual decode; *model.Parser
 // implements it. Every row must carry a non-empty context (the model layer
-// panics otherwise), so the batcher partitions each gathered window into its
+// panics otherwise), so the batcher partitions each window into its
 // contextual and plain halves and decodes them as separate lockstep batches.
 type BatchContextParser interface {
 	ParseBatchContext(sentences, contexts [][]string) [][]string
@@ -102,11 +102,14 @@ type BatchContextParser interface {
 
 // Options tune the serving layer.
 type Options struct {
-	// MaxBatch is the most requests gathered into one decode batch
-	// (default 8).
+	// MaxBatch is the most requests decoded as one window (default 8). A
+	// window holds only requests already queued when a worker frees up;
+	// nothing waits for it to fill.
 	MaxBatch int
-	// MaxWait bounds how long the first request of a batch waits for
-	// company before the batch is dispatched anyway (default 2ms).
+	// MaxWait is ignored: dispatch is work-conserving, so no request waits
+	// for company while a worker is free.
+	//
+	// Deprecated: kept only so existing option literals compile.
 	MaxWait time.Duration
 	// Workers is the decode worker-pool size (0 = GOMAXPROCS).
 	Workers int
@@ -129,9 +132,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 8
-	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = 2 * time.Millisecond
 	}
 	if o.Workers <= 0 {
 		o.Workers = goruntime.GOMAXPROCS(0)
@@ -169,17 +169,20 @@ type request struct {
 	reply   chan parseResult
 }
 
-// Batcher gathers incoming parse requests into micro-batches — up to
-// MaxBatch requests or MaxWait, whichever comes first — and decodes each
-// batch on a fixed worker pool. When the parser supports batched decoding
-// (BatchParser, which *model.Parser does), a worker decodes its whole batch
-// in one lockstep batched call; otherwise it falls back to per-request
-// decoding. Because decoding is concurrency-safe, all workers share the one
-// trained parser, and distinct batches still decode concurrently.
+// Batcher decodes incoming parse requests on a fixed worker pool, and is
+// work-conserving: a free worker takes the next request at once, plus —
+// without waiting — whatever else is already queued, up to MaxBatch, and
+// decodes that window. Windows therefore fill only from requests that
+// queued while every worker was busy, the one case where batching can pay;
+// an idle batcher adds no delay. When the parser supports batched decoding
+// (BatchParser, which *model.Parser does), a worker decodes its whole
+// window in one lockstep batched call; otherwise each worker takes one
+// request at a time. Because decoding is concurrency-safe, all workers share
+// the one trained parser, and distinct windows decode concurrently.
 //
 // Admission is bounded: at most Options.MaxQueue requests may be in flight
 // (queued or decoding); beyond that ParseCtx sheds immediately with
-// ErrOverloaded so the gather loop never blocks behind a slow consumer.
+// ErrOverloaded instead of blocking behind a slow consumer.
 // Close drains: requests admitted before Close are decoded and answered on
 // the old parser before the workers exit, which is what lets the fleet
 // control plane hot-swap a shard without dropping in-flight requests.
@@ -196,7 +199,6 @@ type Batcher struct {
 	bcp    BatchContextParser
 
 	in   chan request
-	jobs chan []request
 	done chan struct{}
 
 	closeMu   sync.RWMutex // guards closed vs. in-flight submissions
@@ -215,7 +217,7 @@ type Batcher struct {
 	hist      []atomic.Int64 // batch-size histogram, index = size-1
 }
 
-// NewBatcher starts the gather loop and the worker pool.
+// NewBatcher starts the decode worker pool.
 func NewBatcher(p Parser, opt Options) *Batcher {
 	opt = opt.withDefaults()
 	inCap := opt.MaxQueue
@@ -226,7 +228,6 @@ func NewBatcher(p Parser, opt Options) *Batcher {
 		opt:    opt,
 		parser: p,
 		in:     make(chan request, inCap),
-		jobs:   make(chan []request, max(opt.Workers, opt.MaxBatch)),
 		done:   make(chan struct{}),
 		hist:   make([]atomic.Int64, opt.MaxBatch),
 	}
@@ -238,8 +239,6 @@ func NewBatcher(p Parser, opt Options) *Batcher {
 	b.ctxp, _ = p.(ContextParser)
 	b.acp, _ = p.(AdaptiveContextParser)
 	b.bcp, _ = p.(BatchContextParser)
-	b.wg.Add(1)
-	go b.gather()
 	for w := 0; w < opt.Workers; w++ {
 		b.wg.Add(1)
 		go b.worker()
@@ -247,98 +246,48 @@ func NewBatcher(p Parser, opt Options) *Batcher {
 	return b
 }
 
-// gather is the micro-batching loop: the first request opens a batch and
-// starts the MaxWait timer; the batch is dispatched when full or when the
-// timer fires. When done closes, everything already admitted to the queue is
-// still dispatched (drained) before jobs closes, so no admitted request goes
-// unanswered.
-func (b *Batcher) gather() {
+// worker is the work-conserving dispatch loop: it blocks for one request,
+// takes without waiting whatever else is already queued — up to MaxBatch,
+// or just the one when the parser has no batched surface, so per-request
+// work still fans out across the pool — and decodes that window. A window
+// thus widens only with requests that queued while every worker was busy;
+// a free worker never holds a request back. Once done closes the worker
+// drains: it keeps taking windows until the queue is empty (Close flips
+// closed under the write lock first, so nothing new can arrive), and every
+// admitted request is answered.
+func (b *Batcher) worker() {
 	defer b.wg.Done()
-	defer close(b.jobs)
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
+	width := 1
+	if b.bp != nil {
+		width = b.opt.MaxBatch
 	}
+	window := make([]request, 0, width)
 	for {
 		var first request
 		select {
 		case first = <-b.in:
 		case <-b.done:
-			b.drain()
-			return
+			select {
+			case first = <-b.in:
+			default:
+				return
+			}
 		}
-		batch := make([]request, 1, b.opt.MaxBatch)
-		batch[0] = first
-		timer.Reset(b.opt.MaxWait)
+		window = append(window[:0], first)
 	fill:
-		for len(batch) < b.opt.MaxBatch {
+		for len(window) < width {
 			select {
 			case r := <-b.in:
-				batch = append(batch, r)
-			case <-timer.C:
-				break fill
-			case <-b.done:
+				window = append(window, r)
+			default:
 				break fill
 			}
 		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		b.dispatch(batch)
-		select {
-		case <-b.done:
-			b.drain()
-			return
-		default:
-		}
-	}
-}
-
-// drain dispatches whatever is still queued after Close; no new requests
-// can arrive (Close flips closed under the write lock before closing done).
-func (b *Batcher) drain() {
-	for {
-		batch := make([]request, 0, b.opt.MaxBatch)
-		for len(batch) < b.opt.MaxBatch {
-			select {
-			case r := <-b.in:
-				batch = append(batch, r)
-				continue
-			default:
-			}
-			break
-		}
-		if len(batch) == 0 {
-			return
-		}
-		b.dispatch(batch)
-	}
-}
-
-func (b *Batcher) dispatch(batch []request) {
-	b.batches.Add(1)
-	b.requests.Add(int64(len(batch)))
-	if n := len(batch); n >= 1 && n <= len(b.hist) {
-		b.hist[n-1].Add(1)
-	}
-	if b.bp != nil {
-		b.jobs <- batch
-		return
-	}
-	// No batched decode surface: fan the window's requests across the
-	// worker pool as before, instead of serializing them on one worker.
-	for _, r := range batch {
-		b.jobs <- []request{r}
-	}
-}
-
-func (b *Batcher) worker() {
-	defer b.wg.Done()
-	for batch := range b.jobs {
-		b.serveBatch(batch)
+		b.batches.Add(1)
+		b.requests.Add(int64(len(window)))
+		b.hist[len(window)-1].Add(1)
+		b.serveBatch(window)
+		clear(window) // drop the answered requests' references
 	}
 }
 
@@ -398,7 +347,7 @@ func (b *Batcher) serveBatch(batch []request) {
 	}
 }
 
-// serveContextWindow answers the contextual half of a gathered window. It
+// serveContextWindow answers the contextual half of a window. It
 // decodes as one lockstep contextual batch when the parser has the batched
 // surface and the policy allows it (greedy, or adaptive — there is no
 // batched contextual beam, so fixed beam widths decode per request), with
@@ -497,7 +446,7 @@ func (b *Batcher) decodeContext(words, ctx []string) []string {
 	return b.ctxp.ParseContext(words, ctx)
 }
 
-// decodeWindow decodes one gathered window through the batched surface,
+// decodeWindow decodes one window through the batched surface,
 // recovering a panic into an error instead of killing the worker.
 func (b *Batcher) decodeWindow(sentences [][]string) (outs [][]string, err error) {
 	defer func() {
@@ -731,7 +680,7 @@ type Stats struct {
 	// their greedy confidence fell below the fitted threshold.
 	Adaptive  int64
 	Escalated int64
-	// BatchSizes is the dispatch histogram: BatchSizes[i] batches carried
+	// BatchSizes is the window histogram: BatchSizes[i] windows carried
 	// i+1 requests.
 	BatchSizes []int64
 }

@@ -68,7 +68,7 @@ func TestBatcherMatchesDirectDecode(t *testing.T) {
 	p := toyParser()
 	// 5 waves × 20 sentences fire concurrently; raise the admission bound
 	// above that so this test exercises decode parity, not load shedding.
-	b := NewBatcher(p, Options{MaxBatch: 4, MaxWait: time.Millisecond, MaxQueue: 200})
+	b := NewBatcher(p, Options{MaxBatch: 4, MaxQueue: 200})
 	defer b.Close()
 
 	sentences := testSentences()
@@ -105,12 +105,73 @@ func TestBatcherMatchesDirectDecode(t *testing.T) {
 	}
 }
 
-// TestBatcherFormsBatches drives many concurrent requests through a batcher
-// with a generous gather window and checks that batching actually happened
+// gate holds decode calls until it opens, so a test can park every worker
+// on a decode and build the queue behind them deterministically.
+type gate struct {
+	// entered gets one token per decode call that reached the gate; its
+	// buffer exceeds any test's worker count, so no parked call drops one.
+	entered chan struct{}
+	open    chan struct{} // closed to release every held call
+}
+
+func newGate() *gate {
+	return &gate{entered: make(chan struct{}, 1024), open: make(chan struct{})}
+}
+
+// wait parks the calling decode until the gate opens; a nil gate is open.
+func (g *gate) wait() {
+	if g == nil {
+		return
+	}
+	select {
+	case g.entered <- struct{}{}:
+	default:
+	}
+	<-g.open
+}
+
+// queueBehind waits until `workers` decode calls are parked at the gate and
+// the batcher holds n admitted requests, then opens the gate: each worker
+// then takes the queued requests in windows of up to MaxBatch.
+func (g *gate) queueBehind(t *testing.T, b *Batcher, workers int, n int64) {
+	t.Helper()
+	defer close(g.open) // also on failure, so the batcher can drain
+	waitFor(t, "every worker to park at the gate", func() bool { return len(g.entered) >= workers })
+	waitFor(t, "the queue to fill", func() bool { return b.Stats().QueueDepth >= n })
+}
+
+// batchSurface is a parser with the batched decode surface.
+type batchSurface interface {
+	Parser
+	BatchParser
+}
+
+// gatedParser routes every decode of the wrapped parser through a gate.
+type gatedParser struct {
+	*gate
+	inner batchSurface
+}
+
+func (g gatedParser) Parse(words []string) []string { g.wait(); return g.inner.Parse(words) }
+func (g gatedParser) ParseBeam(words []string, width int) []string {
+	g.wait()
+	return g.inner.ParseBeam(words, width)
+}
+func (g gatedParser) ParseBatch(sentences [][]string) [][]string {
+	g.wait()
+	return g.inner.ParseBatch(sentences)
+}
+func (g gatedParser) ParseBeamBatch(sentences [][]string, width int) [][]string {
+	g.wait()
+	return g.inner.ParseBeamBatch(sentences, width)
+}
+
+// TestBatcherFormsBatches parks both workers on a decode, queues requests
+// behind them, and checks that the queued requests left in shared windows
 // (fewer batches than requests).
 func TestBatcherFormsBatches(t *testing.T) {
-	p := toyParser()
-	b := NewBatcher(p, Options{MaxBatch: 8, MaxWait: 25 * time.Millisecond, Workers: 2})
+	g := gatedParser{gate: newGate(), inner: toyParser()}
+	b := NewBatcher(g, Options{MaxBatch: 8, Workers: 2})
 	defer b.Close()
 	const n = 24
 	var wg sync.WaitGroup
@@ -121,6 +182,7 @@ func TestBatcherFormsBatches(t *testing.T) {
 			b.Parse([]string{"tweet", "alpha", "now"})
 		}()
 	}
+	g.queueBehind(t, b, 2, n)
 	wg.Wait()
 	st := b.Stats()
 	if st.Requests != n {
@@ -163,14 +225,15 @@ func (r *recordingBatchParser) ParseBeamBatch(sentences [][]string, width int) [
 	return r.p.ParseBeamBatch(sentences, width)
 }
 
-// TestBatcherBatchedDecodeParity drives concurrent traffic through a
-// batcher whose gather window is wide enough to form real batches, checks
-// every reply against the sequential decode, and asserts the batched decode
-// path actually carried multi-request windows. Runs under -race in CI.
+// TestBatcherBatchedDecodeParity queues concurrent traffic behind parked
+// workers so real windows form, checks every reply against the sequential
+// decode, and asserts the batched decode path actually carried
+// multi-request windows. Runs under -race in CI.
 func TestBatcherBatchedDecodeParity(t *testing.T) {
 	for _, beam := range []int{1, 3} {
 		rec := &recordingBatchParser{p: toyParser()}
-		b := NewBatcher(rec, Options{MaxBatch: 8, MaxWait: 25 * time.Millisecond, Workers: 2, Beam: beam})
+		g := gatedParser{gate: newGate(), inner: rec}
+		b := NewBatcher(g, Options{MaxBatch: 8, Workers: 2, Beam: beam})
 
 		sentences := testSentences()
 		want := make([]string, len(sentences))
@@ -200,6 +263,7 @@ func TestBatcherBatchedDecodeParity(t *testing.T) {
 				}(i)
 			}
 		}
+		g.queueBehind(t, b, 2, int64(3*len(sentences)))
 		wg.Wait()
 		b.Close()
 
@@ -226,7 +290,7 @@ func (pp plainParser) ParseBeam(words []string, width int) []string {
 // answer correctly.
 func TestBatcherFallbackWithoutBatchParser(t *testing.T) {
 	pp := plainParser{p: toyParser()}
-	b := NewBatcher(pp, Options{MaxBatch: 8, MaxWait: 20 * time.Millisecond, Workers: 4})
+	b := NewBatcher(pp, Options{MaxBatch: 8, Workers: 4})
 	defer b.Close()
 	sentences := testSentences()
 	var wg sync.WaitGroup
@@ -272,11 +336,11 @@ func (s *slowParser) ParseBeam(words []string, width int) []string {
 
 // TestBatcherBackpressureSheds fills the admission queue against a blocked
 // decoder and checks the overflow request is shed immediately with
-// ErrOverloaded — the gather loop must never block behind a full queue —
+// ErrOverloaded — admission must never block behind a full queue —
 // and that draining the queue restores admission.
 func TestBatcherBackpressureSheds(t *testing.T) {
 	sp := &slowParser{release: make(chan struct{})}
-	b := NewBatcher(sp, Options{MaxBatch: 1, MaxWait: time.Millisecond, Workers: 1, MaxQueue: 2})
+	b := NewBatcher(sp, Options{MaxBatch: 1, Workers: 1, MaxQueue: 2})
 	defer b.Close()
 	defer close(sp.release) // unblock any decode still waiting at teardown
 
@@ -337,7 +401,7 @@ func TestBatcherBackpressureSheds(t *testing.T) {
 // on the old parser) — the drain semantics hot reload relies on.
 func TestBatcherCloseDrainsAdmitted(t *testing.T) {
 	sp := &slowParser{release: make(chan struct{}, 16)}
-	b := NewBatcher(sp, Options{MaxBatch: 2, MaxWait: time.Millisecond, Workers: 1, MaxQueue: 16})
+	b := NewBatcher(sp, Options{MaxBatch: 2, Workers: 1, MaxQueue: 16})
 	const n = 6
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -374,7 +438,7 @@ func TestBatcherCloseDrainsAdmitted(t *testing.T) {
 // scored decode through the batching path.
 func TestBatcherScoredPath(t *testing.T) {
 	p := toyParser()
-	b := NewBatcher(p, Options{MaxBatch: 4, MaxWait: time.Millisecond})
+	b := NewBatcher(p, Options{MaxBatch: 4})
 	defer b.Close()
 	words := []string{"tweet", "alpha", "now"}
 	wantToks, wantScore := p.ParseScored(words, 1)
@@ -391,7 +455,7 @@ func TestBatcherScoredPath(t *testing.T) {
 // TestBatcherBatchSizeHistogram drives traffic and checks the dispatch
 // histogram accounts for every batch.
 func TestBatcherBatchSizeHistogram(t *testing.T) {
-	b := NewBatcher(toyParser(), Options{MaxBatch: 8, MaxWait: 20 * time.Millisecond, Workers: 2})
+	b := NewBatcher(toyParser(), Options{MaxBatch: 8, Workers: 2})
 	defer b.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 12; i++ {
@@ -411,6 +475,22 @@ func TestBatcherBatchSizeHistogram(t *testing.T) {
 	if total != st.Batches || weighted != st.Requests {
 		t.Errorf("histogram inconsistent: %d batches / %d requests vs hist %d / %d (%v)",
 			st.Batches, st.Requests, total, weighted, st.BatchSizes)
+	}
+}
+
+// TestBatcherIdleDispatchesImmediately: a lone request on an idle batcher is
+// decoded at once — a free worker never waits for company, whatever the
+// ignored MaxWait says.
+func TestBatcherIdleDispatchesImmediately(t *testing.T) {
+	p := toyParser()
+	b := NewBatcher(p, Options{MaxBatch: 8, MaxWait: time.Second, Workers: 2})
+	defer b.Close()
+	start := time.Now()
+	if _, err := b.ParseCtx(context.Background(), []string{"tweet", "alpha", "now"}); err != nil {
+		t.Fatalf("ParseCtx: %v", err)
+	}
+	if took := time.Since(start); took > 250*time.Millisecond {
+		t.Errorf("lone request on an idle batcher took %s; want well under MaxWait (1s)", took)
 	}
 }
 
@@ -435,7 +515,7 @@ func TestBatcherContextCancel(t *testing.T) {
 
 func TestServerAndClientEndToEnd(t *testing.T) {
 	p := toyParser()
-	srv := NewServer(p, Options{MaxBatch: 4, MaxWait: time.Millisecond})
+	srv := NewServer(p, Options{MaxBatch: 4})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -485,7 +565,7 @@ func TestServerAndClientEndToEnd(t *testing.T) {
 // ErrOverloaded mapping.
 func TestServerSheds429(t *testing.T) {
 	sp := &slowParser{release: make(chan struct{}, 4)}
-	srv := NewServer(sp, Options{MaxBatch: 1, MaxWait: time.Millisecond, Workers: 1, MaxQueue: 1})
+	srv := NewServer(sp, Options{MaxBatch: 1, Workers: 1, MaxQueue: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()

@@ -229,6 +229,38 @@ func SetDeadlineHeader(h http.Header, ctx context.Context) {
 	h.Set(DeadlineHeader, strconv.FormatFloat(ms, 'f', 3, 64))
 }
 
+// MaxRequestBytes caps a /parse request body (1 MiB, the same cap the
+// gateway puts on a backend's reply); ReadParseRequest answers a larger
+// body with 413 instead of buffering it.
+const MaxRequestBytes = 1 << 20
+
+// ReadParseRequest reads the POST /parse body shared by every server tier
+// (single-parser, fleet, gateway) through an http.MaxBytesReader capped at
+// MaxRequestBytes, and returns it with its words (RequestWords). It answers
+// a non-POST with 405, an over-cap body with 413, and malformed JSON or an
+// empty sentence with 400; ok is false once it has replied.
+func ReadParseRequest(w http.ResponseWriter, r *http.Request) (req ParseRequest, words []string, ok bool) {
+	if r.Method != http.MethodPost {
+		http.Error(w, "POST required", http.StatusMethodNotAllowed)
+		return req, nil, false
+	}
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad request: "+err.Error(), status)
+		return req, nil, false
+	}
+	words = req.RequestWords()
+	if len(words) == 0 {
+		http.Error(w, "empty sentence", http.StatusBadRequest)
+		return req, nil, false
+	}
+	return req, words, true
+}
+
 // WriteParseError maps a serving error to its HTTP status: 429 with a
 // Retry-After for admission-control shedding, 408 for exhausted deadline
 // budgets and caller timeouts, 500 for recovered decode panics, 503
@@ -248,18 +280,8 @@ func WriteParseError(w http.ResponseWriter, r *http.Request, err error) {
 }
 
 func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	var req ParseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	words := req.RequestWords()
-	if len(words) == 0 {
-		http.Error(w, "empty sentence", http.StatusBadRequest)
+	req, words, ok := ReadParseRequest(w, r)
+	if !ok {
 		return
 	}
 	ctx, cancel := DeadlineContext(r)
